@@ -346,14 +346,13 @@ class PopulationFramework:
 
     @staticmethod
     def _enable_memos(lane: UniLocFramework) -> None:
-        """Turn on cross-lane geometry/feature memoization for one lane.
+        """Turn on cross-lane feature memoization for one lane.
 
-        Corridor widths and fingerprint spatial densities are pure
-        functions queried at grid-snapped points; memoizing them on the
-        shared place/survey dedupes identical queries across lanes and
-        steps while returning the scalar functions' exact floats.
+        Fingerprint spatial densities are pure functions queried at
+        grid-snapped points; memoizing them on the shared survey dedupes
+        identical queries across lanes and steps while returning the
+        scalar functions' exact floats.
         """
-        lane.place.enable_feature_memo()
         for bundle in lane.bundles.values():
             for attr in ("_index", "_fp_index"):
                 index = getattr(bundle.scheme, attr, None)

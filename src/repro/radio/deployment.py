@@ -66,13 +66,20 @@ class RadioEnvironment:
         The receiver's environment charges a bulk penetration loss on top
         of per-wall attenuation, which is what makes deep basements
         Wi-Fi-dead (the paper's basement segment hears no usable AP).
+        Every AP's wall count comes from one (APs x walls) pass over the
+        compiled floor plan; the per-AP RSSI math stays scalar.
         """
         attenuation = profile_of(
             self.place.environment_at(point)
         ).wifi_attenuation_db
+        sources = np.array(
+            [[ap.position.x, ap.position.y] for ap in self.access_points]
+        ).reshape(-1, 2)
+        wall_counts = self.place.floorplan.compiled().walls_crossed_from(
+            sources, point
+        )
         readings = {}
-        for ap in self.access_points:
-            walls = self.place.floorplan.walls_crossed(ap.position, point)
+        for ap, walls in zip(self.access_points, wall_counts):
             rssi = (
                 self.wifi_model.mean_rssi_dbm(
                     ap.position, point, walls=walls, tx_seed=ap.seed

@@ -6,9 +6,10 @@ scale (the paper's step-model personalization: "step length adaptively
 updated by particle filter", §III-B).  Map constraints kill particles that
 leave the walkable area; systematic resampling keeps the cloud healthy.
 
-Everything is numpy-vectorized: corridor containment for all particles is
-computed against all corridor segments at once, so 300 particles x ~500
-steps remain fast in pure Python.
+Everything is numpy-vectorized: corridor containment and wall crossing
+for all particles are computed against the compiled place's nearby
+corridor and wall segments at once, so 300 particles x ~500 steps remain
+fast in pure Python.
 """
 
 from __future__ import annotations
@@ -22,41 +23,6 @@ import numpy as np
 from repro.geometry import Point
 from repro.shapes import Shape
 from repro.world import Place
-
-
-def _corridor_arrays(place: Place) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Precompute corridor segment arrays ``(starts, ends, half_widths)``."""
-    corridors = place.floorplan.corridors
-    if not corridors:
-        return None
-    starts = np.array([[c.centerline.start.x, c.centerline.start.y] for c in corridors])
-    ends = np.array([[c.centerline.end.x, c.centerline.end.y] for c in corridors])
-    half_widths = np.array([c.width / 2.0 for c in corridors])
-    return starts, ends, half_widths
-
-
-def _indoor_region_arrays(place: Place) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Precompute edge arrays of indoor regions for vectorized containment.
-
-    Returns one ``(vertices, edge_normals)`` pair per indoor region.  The
-    map constraint only applies *inside* indoor regions: outdoors (open
-    spaces) a pedestrian can walk anywhere, which is precisely why the
-    paper's motion scheme loses its map anchor there.  Regions produced by
-    the world builder are convex quadrilaterals; containment is tested by
-    requiring a consistent cross-product sign against every edge.
-    """
-    from repro.world import is_indoor  # local import to avoid a cycle
-
-    arrays = []
-    for region in place.regions:
-        if not is_indoor(region.env_type):
-            continue
-        verts = np.array([[v.x, v.y] for v in region.polygon.vertices])
-        edges = np.roll(verts, -1, axis=0) - verts
-        # Outward-ish normals; sign consistency handled at query time.
-        normals = np.column_stack([-edges[:, 1], edges[:, 0]])
-        arrays.append((verts, normals))
-    return arrays
 
 
 @dataclass
@@ -83,15 +49,6 @@ class ParticleFilter:
     def __post_init__(self) -> None:
         if self.n_particles <= 0:
             raise ValueError("n_particles must be positive")
-        self._corridors = _corridor_arrays(self.place)
-        self._indoor_regions = _indoor_region_arrays(self.place)
-        walls = self.place.floorplan.walls
-        if walls:
-            self._wall_starts = np.array([[w.start.x, w.start.y] for w in walls])
-            self._wall_ends = np.array([[w.end.x, w.end.y] for w in walls])
-        else:
-            self._wall_starts = None
-            self._wall_ends = None
         self.positions = np.zeros((self.n_particles, 2))
         self.scales = np.ones(self.n_particles)
         self.weights = np.full(self.n_particles, 1.0 / self.n_particles)
@@ -118,48 +75,10 @@ class ParticleFilter:
         but outside every corridor — i.e. inside a wall or a room it
         cannot reach.  Outdoor positions are always walkable, so in open
         spaces the map imposes no constraint (and PDR drifts, as in the
-        paper).
+        paper).  Evaluated on the compiled place, which only tests the
+        regions and corridors near the query cloud.
         """
-        n = len(positions)
-        if self._corridors is None or not self._indoor_regions:
-            return np.ones(n, dtype=bool)
-        in_corridor = self._in_corridor_mask(positions)
-        indoor = np.zeros(n, dtype=bool)
-        px = positions[:, None, 0]
-        py = positions[:, None, 1]
-        for verts, normals in self._indoor_regions:
-            # Componentized (p - v) . normal: identical additions in the
-            # same order as a stacked (n, e, 2) product-and-reduce, but
-            # without materializing the 3-D temporaries — at population
-            # scale the stacked form is memory-bound, not compute-bound.
-            side = (px - verts[None, :, 0]) * normals[None, :, 0] + (
-                py - verts[None, :, 1]
-            ) * normals[None, :, 1]  # (n, e)
-            inside = (side >= -1e-9).all(axis=1) | (side <= 1e-9).all(axis=1)
-            indoor |= inside
-        return in_corridor | ~indoor
-
-    def _in_corridor_mask(self, positions: np.ndarray) -> np.ndarray:
-        """Return a boolean mask of positions inside some corridor."""
-        if self._corridors is None:
-            return np.zeros(len(positions), dtype=bool)
-        starts, ends, half_widths = self._corridors
-        d = ends - starts  # (m, 2)
-        seg_len2 = np.maximum((d * d).sum(axis=1), 1e-12)  # (m,)
-        # t[i, j]: projection parameter of particle i on corridor j.
-        # Componentized per coordinate: the same multiplies and two-term
-        # additions, in the same order, as the stacked (n, m, 2) form,
-        # but with only (n, m) temporaries (cache-resident at population
-        # scale).
-        dx = positions[:, None, 0] - starts[None, :, 0]  # (n, m)
-        dy = positions[:, None, 1] - starts[None, :, 1]
-        t = np.clip(
-            (dx * d[None, :, 0] + dy * d[None, :, 1]) / seg_len2, 0.0, 1.0
-        )
-        ex = positions[:, None, 0] - (starts[None, :, 0] + t * d[None, :, 0])
-        ey = positions[:, None, 1] - (starts[None, :, 1] + t * d[None, :, 1])
-        dist = np.sqrt(ex * ex + ey * ey)  # (n, m)
-        return (dist <= half_widths[None, :]).any(axis=1)
+        return self.place.compiled().walkable_mask(positions)
 
     def predict(self, step_length: float, heading: float) -> None:
         """Advance every particle by one step.
@@ -191,24 +110,11 @@ class ParticleFilter:
         """Return a mask of particle moves whose path crosses a wall.
 
         Endpoint containment alone lets a long step leap a thin wall zone;
-        checking the movement segment against the wall list (standard
-        orientation predicates, vectorized particles x walls) makes the
-        map constraint robust to step length.
+        checking the movement segment against the walls near the cloud
+        (standard orientation predicates, vectorized particles x walls)
+        makes the map constraint robust to step length.
         """
-        if self._wall_starts is None:
-            return np.zeros(len(old), dtype=bool)
-        r = new - old  # (n, 2)
-        s = self._wall_ends - self._wall_starts  # (m, 2)
-        qp = self._wall_starts[None, :, :] - old[:, None, :]  # (n, m, 2)
-        r_cross_s = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
-        qp_cross_r = qp[:, :, 0] * r[:, None, 1] - qp[:, :, 1] * r[:, None, 0]
-        qp_cross_s = qp[:, :, 0] * s[None, :, 1] - qp[:, :, 1] * s[None, :, 0]
-        nonparallel = np.abs(r_cross_s) > 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(nonparallel, qp_cross_s / r_cross_s, np.nan)
-            u = np.where(nonparallel, qp_cross_r / r_cross_s, np.nan)
-        hits = nonparallel & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-        return hits.any(axis=1)
+        return self.place.floorplan.compiled().crosses_wall(old, new)
 
     def reweight(self, factors: np.ndarray) -> None:
         """Multiply particle weights by external likelihood factors.

@@ -12,7 +12,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.geometry import Point, Segment
+from repro.world.compiled import CompiledFloorPlan
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,19 @@ class FloorPlan:
     walls: list[Segment]
     landmarks: list[Landmark]
 
+    def compiled(self) -> CompiledFloorPlan:
+        """Return this plan as arrays, recompiled whenever a list changes.
+
+        The check is a list compare against the compiled copy, which
+        short-cuts on element identity, so an unchanged plan costs a few
+        pointer compares and a wall replaced in place is never missed.
+        """
+        compiled = self.__dict__.get("_compiled")
+        if compiled is None or not compiled.matches(self):
+            compiled = CompiledFloorPlan(self)
+            self._compiled = compiled
+        return compiled
+
     def is_walkable(self, point: Point) -> bool:
         """Return True if a pedestrian (or PDR particle) may stand at ``point``.
 
@@ -93,6 +109,8 @@ class FloorPlan:
     def corridor_width_at(self, point: Point, default: float) -> float:
         """Return the width of the corridor nearest to ``point``.
 
+        Ties between equidistant corridors go to the first one listed.
+
         Args:
             point: query location.
             default: width to report when the plan has no corridors
@@ -100,8 +118,7 @@ class FloorPlan:
         """
         if not self.corridors:
             return default
-        nearest = min(self.corridors, key=lambda c: c.distance_to(point))
-        return nearest.width
+        return self.compiled().nearest_corridor(point).width
 
     def walls_crossed(self, a: Point, b: Point) -> int:
         """Return how many walls the straight ray from ``a`` to ``b`` crosses.
@@ -111,38 +128,7 @@ class FloorPlan:
         the wall list with the standard orientation predicate; collinear
         touches fall back to the exact segment routine.
         """
-        if not self.walls:
-            return 0
-        import numpy as np
-
-        arrays = getattr(self, "_wall_arrays", None)
-        if arrays is None or arrays[0].shape[0] != len(self.walls):
-            starts = np.array([[w.start.x, w.start.y] for w in self.walls])
-            ends = np.array([[w.end.x, w.end.y] for w in self.walls])
-            arrays = (starts, ends)
-            self._wall_arrays = arrays
-        starts, ends = arrays
-        p = np.array([a.x, a.y])
-        r = np.array([b.x - a.x, b.y - a.y])
-        s = ends - starts
-        qp = starts - p
-        r_cross_s = r[0] * s[:, 1] - r[1] * s[:, 0]
-        qp_cross_r = qp[:, 0] * r[1] - qp[:, 1] * r[0]
-        qp_cross_s = qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]
-        nonparallel = np.abs(r_cross_s) > 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(nonparallel, qp_cross_s / r_cross_s, np.nan)
-            u = np.where(nonparallel, qp_cross_r / r_cross_s, np.nan)
-        hits = nonparallel & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-        count = int(hits.sum())
-        # Parallel walls are almost never collinear with a radio ray, but
-        # stay exact for the ones that are.
-        parallel = ~nonparallel
-        if parallel.any() and np.any(np.abs(qp_cross_r[parallel]) < 1e-9):
-            ray = Segment(a, b)
-            for idx in np.nonzero(parallel)[0]:
-                if abs(qp_cross_r[idx]) < 1e-9 and ray.intersects(self.walls[idx]):
-                    count += 1
+        (count,) = self.compiled().walls_crossed_from(np.array([[a.x, a.y]]), b)
         return count
 
     def nearest_landmark(self, point: Point) -> Landmark | None:
@@ -153,8 +139,4 @@ class FloorPlan:
 
     def detectable_landmarks(self, point: Point) -> list[Landmark]:
         """Return landmarks whose detection radius covers ``point``."""
-        return [
-            lm
-            for lm in self.landmarks
-            if lm.position.distance_to(point) <= lm.detection_radius
-        ]
+        return self.compiled().detectable_landmarks(point)

@@ -11,16 +11,11 @@ different radio conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 from repro.geometry import Grid, Point, Polygon, Polyline
+from repro.world.compiled import CompiledPlace
 from repro.world.environment import EnvironmentType, is_indoor, profile_of
 from repro.world.floorplan import FloorPlan
-
-
-# Bound on memoized corridor-width entries before the cache resets; walk
-# queries are grid-snapped so real populations stay far below this.
-_WIDTH_MEMO_MAX = 100_000
 
 
 @dataclass(frozen=True)
@@ -64,25 +59,26 @@ class Place:
     floorplan: FloorPlan
     paths: dict[str, Path] = field(default_factory=dict)
 
-    # Populated per-instance by enable_feature_memo(); a ClassVar default
-    # keeps it out of the dataclass field list (and out of eq/repr).
-    _width_memo: ClassVar[dict[tuple[float, float], float] | None] = None
+    def compiled(self) -> CompiledPlace:
+        """Return the place as arrays, recompiled whenever its geometry changes.
 
-    def enable_feature_memo(self) -> None:
-        """Memoize :meth:`corridor_width_at` by exact query point.
-
-        Geometry features are pure functions of the query point, and a
-        walker population repeatedly evaluates them at the same
-        grid-snapped HMM predictions — so the first lane pays the scalar
-        floor-plan scan and every other lane reuses the exact float.
-        Off by default to keep standalone ``Place`` uses stateless.
+        Built against :meth:`FloorPlan.compiled`; a changed region list
+        or a recompiled (or replaced) floor plan rebuilds it.
         """
-        if self._width_memo is None:
-            self._width_memo = {}
+        floorplan = self.floorplan.compiled()
+        compiled = self.__dict__.get("_compiled")
+        if compiled is None or not compiled.matches(self.regions, floorplan):
+            compiled = CompiledPlace(self.regions, floorplan)
+            self._compiled = compiled
+        return compiled
 
     def environment_at(self, point: Point) -> EnvironmentType:
-        """Return the environment label at ``point``."""
-        for region in self.regions:
+        """Return the environment label at ``point``.
+
+        Only regions whose bounding box holds the point are tested; the
+        first of them that contains it wins, as in the full region scan.
+        """
+        for region in self.compiled().regions_near(point):
             if region.polygon.contains(point):
                 return region.env_type
         return self.default_env
@@ -93,19 +89,8 @@ class Place:
 
     def corridor_width_at(self, point: Point) -> float:
         """Return the corridor width feature (beta_2 of the PDR model)."""
-        memo = self._width_memo
-        if memo is not None:
-            key = (point.x, point.y)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
         default = profile_of(self.environment_at(point)).default_corridor_width_m
-        value = self.floorplan.corridor_width_at(point, default)
-        if memo is not None:
-            if len(memo) >= _WIDTH_MEMO_MAX:
-                memo.clear()
-            memo[key] = value
-        return value
+        return self.floorplan.corridor_width_at(point, default)
 
     def grid(self, cell_size: float = 2.0) -> Grid:
         """Return a regular grid over the place for BMA posteriors."""

@@ -58,7 +58,13 @@ class TestGoldenScalarHashes:
 
     @pytest.mark.parametrize(
         "name",
-        ["office-clean", "open-space-clean", "office-faulted", "open-space-faulted"],
+        [
+            "office-clean",
+            "open-space-clean",
+            "office-faulted",
+            "open-space-faulted",
+            "campus-window",
+        ],
     )
     def test_walk_pickle_matches_golden(self, name, warm_cache):
         golden_jobs, result_hash = _goldens()

@@ -4,7 +4,8 @@ The population core (``repro.core.population``) promises that the scalar
 ``UniLocFramework`` keeps producing **byte-identical** ``WalkResult``
 pickles after it became a thin front over a population of size 1.  That
 promise is only checkable against a fixed point: this tool runs the
-golden job matrix (office + open-space, with and without a fault plan)
+golden job matrix (office + open-space, with and without a fault plan,
+plus one campus window that crosses five environment legs)
 and records each result's pickle hash in ``tests/data/walk_goldens.json``.
 
 ``tests/eval/test_population_equivalence.py`` replays the same jobs and
@@ -76,6 +77,18 @@ def golden_jobs():
             max_length=50.0,
             gps_duty_cycling=False,
             fault_plan=plan,
+        ),
+        # A campus window over office, corridor, open space, corridor and
+        # basement legs: the only golden on a large map (93 regions, 148
+        # walls, 74 corridors), so it pins the compiled place's culling.
+        "campus-window": WalkJob(
+            place_name="campus",
+            path_name="path4",
+            walk_seed=21,
+            trace_seed=22,
+            start_arc=50.0,
+            max_length=150.0,
+            compact=False,
         ),
     }
 
