@@ -334,10 +334,12 @@ def _population_kernel_bench(
     (``gaussian_posteriors`` vs one ``gaussian_posterior`` call per
     lane) and the survey matcher (``distances_batch`` vs one
     ``distances`` pass per lane), both on the place's real BMA grid and
-    survey.  The ratios are modest by design: byte-identity pins the
-    batched twins to the scalar reductions' operand order and chunk
-    sizes, so they amortize Python/numpy dispatch but cannot
-    restructure the math (see ROADMAP "population core").
+    survey.  Both ratios measure only the Python/numpy dispatch that
+    batching removes, since each pair shares its math: the scalar and
+    batched posteriors run one row kernel, and the batched matcher runs
+    the scalar one's per-row reduction.  Per-call dispatch is a large
+    share of a posterior row on a small grid, a small one of a survey
+    match.
     """
     from repro.geometry import Point
     from repro.radio.kernels import compile_fingerprints

@@ -17,7 +17,8 @@ The step is split into two phases:
    * fingerprint matching as one dense ``(K, E)`` distance evaluation
      (:meth:`repro.radio.kernels.CompiledFingerprintDatabase.distances_batch`),
    * fusion RSSI re-weighting with one KD-tree query over the
-     concatenated clouds,
+     concatenated clouds and one distance pass over the survey rows
+     those clouds are nearest to,
    * GPS dispatched through the :class:`repro.schemes.base.Scheme`
      Protocol's ``estimate_batch`` hook, and
    * point-scheme BMA posteriors as one ``(L, I)`` Gaussian
@@ -290,9 +291,11 @@ class PopulationFramework:
 
         One KD-tree query runs over the concatenated ``(K * P, 2)``
         particle positions (each point's nearest fingerprint is
-        independent of the others) and one dense distance pass scores
-        every lane's scan; the per-lane unique/searchsorted gather and
-        the re-weighting tail run through the scalar
+        independent of the others).  One distance pass then scores every
+        lane's scan against only the survey rows some particle is
+        nearest to, the rows scalar ``FusionScheme._rssi_update`` scores;
+        a row's distance does not depend on which other rows are scored
+        with it.  The re-weighting tail runs through the scalar
         ``FusionScheme._apply_rssi_factors``.
         """
         groups: dict[int, tuple[CompiledFingerprintDatabase, list]] = {}
@@ -307,18 +310,17 @@ class PopulationFramework:
                 [scheme._pf.positions for scheme, _ in members]
             )
             distances, nearest = members[0][0]._fp_tree.query(stacked)
-            rows = index.distances_batch([scan for _, scan in members])
+            unique = np.unique(nearest)
+            scores = index.distances_batch(
+                [scan for _, scan in members], rows=unique
+            )
+            column = np.searchsorted(unique, nearest)
             offset = 0
-            for (scheme, _), row in zip(members, rows):
+            for (scheme, _), row in zip(members, scores):
                 n = scheme._pf.n_particles
-                lane_distances = distances[offset : offset + n]
-                lane_nearest = nearest[offset : offset + n]
+                lane = slice(offset, offset + n)
                 offset += n
-                unique = np.unique(lane_nearest)
-                per_particle = row[unique][
-                    np.searchsorted(unique, lane_nearest)
-                ]
-                scheme._apply_rssi_factors(per_particle, lane_distances)
+                scheme._apply_rssi_factors(row[column[lane]], distances[lane])
 
     def _prime_posteriors(self, entries) -> None:
         """Rasterize all point-scheme outputs as one ``(L, I)`` pass.

@@ -16,6 +16,16 @@ import numpy as np
 from repro.geometry.point import Point
 from repro.shapes import Shape
 
+#: ``np.exp`` is exactly 0.0 below this; float64 ``exp`` underflows near
+#: -745.13, and the margin keeps the cut below every rounding of it.
+#: Cells under it are zeroed without evaluating ``exp``, which is an order
+#: of magnitude slower on underflowing inputs than on normal ones.
+EXP_UNDERFLOW = -746.0
+
+#: Posterior rows rasterized per pass; bounds the ``(chunk, I)`` working
+#: block at city-scale populations.
+_ROW_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -33,6 +43,10 @@ class Grid:
     max_y: float
     cell_size: float
     _centers: np.ndarray = field(init=False, repr=False, compare=False)
+    _xs: np.ndarray = field(init=False, repr=False, compare=False)
+    _ys: np.ndarray = field(init=False, repr=False, compare=False)
+    _cx: np.ndarray = field(init=False, repr=False, compare=False)
+    _cy: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.cell_size <= 0.0:
@@ -47,7 +61,17 @@ class Grid:
             ys = np.array([(self.min_y + self.max_y) / 2.0])
         gx, gy = np.meshgrid(xs, ys)
         centers = np.column_stack([gx.ravel(), gy.ravel()])
-        object.__setattr__(self, "_centers", centers)
+        # Per-axis centres for the separable squared distance, and the
+        # centre coordinates as contiguous columns for Eq. 4.
+        for name, array in (
+            ("_centers", centers),
+            ("_xs", xs),
+            ("_ys", ys),
+            ("_cx", np.ascontiguousarray(centers[:, 0])),
+            ("_cy", np.ascontiguousarray(centers[:, 1])),
+        ):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "_nx", xs.size)
         object.__setattr__(self, "_ny", ys.size)
 
@@ -99,12 +123,13 @@ class Grid:
         posterior never degenerates to a single spike narrower than the
         grid resolution.
         """
-        sigma = max(sigma, self.cell_size / 2.0)
-        d2 = np.sum((self._centers - [mean.x, mean.y]) ** 2, axis=1)
-        log_p = -d2 / (2.0 * sigma * sigma)
-        log_p -= log_p.max()
-        p = np.exp(log_p)
-        return p / p.sum()
+        out = np.empty((1, self.n_cells))
+        self._gaussian_rows(
+            np.array([[mean.x, mean.y]], dtype=float),
+            np.array([sigma], dtype=float),
+            out,
+        )
+        return out[0]
 
     def gaussian_posteriors(
         self,
@@ -114,12 +139,11 @@ class Grid:
         """Rasterize ``L`` isotropic Gaussians into one posterior per row.
 
         The population core's lane-batched twin of
-        :meth:`gaussian_posterior`: every row is **bit-identical** to the
-        scalar call with that row's mean and sigma — the squared-distance
-        reduction runs over the same two addends in the same order, and
-        each row is shifted/normalized by its own scalar max/sum — so the
-        batched BMA pre-pass can feed rows straight into the scalar
-        mixture loop without perturbing walk results.
+        :meth:`gaussian_posterior`.  Both run the same row kernel, and
+        every row depends on its own mean and sigma only, so each row is
+        **bit-identical** to the scalar call and the batched BMA pre-pass
+        can feed rows straight into the scalar mixture loop without
+        perturbing walk results.
 
         Raises:
             ValueError: on mismatched ``means``/``sigmas`` lengths.
@@ -130,19 +154,44 @@ class Grid:
             raise ValueError("means must be an (L, 2) array")
         if sigmas.shape != (means.shape[0],):
             raise ValueError("sigmas must have one entry per mean")
-        sigma = np.maximum(sigmas, self.cell_size / 2.0)
         out = np.empty((means.shape[0], self.n_cells))
-        # Row-chunked: every row is independent, and chunking bounds the
-        # (chunk, I, 2) difference tensor at city-scale populations.
-        for lo in range(0, means.shape[0], 256):
-            hi = lo + 256
-            diff = self._centers[None, :, :] - means[lo:hi, None, :]
-            d2 = np.sum(diff**2, axis=2)
-            log_p = -d2 / (2.0 * sigma[lo:hi] * sigma[lo:hi])[:, None]
-            log_p -= log_p.max(axis=1, keepdims=True)
-            p = np.exp(log_p)
-            out[lo:hi] = p / p.sum(axis=1, keepdims=True)
+        for lo in range(0, means.shape[0], _ROW_CHUNK):
+            hi = lo + _ROW_CHUNK
+            self._gaussian_rows(means[lo:hi], sigmas[lo:hi], out[lo:hi])
         return out
+
+    def _gaussian_rows(
+        self,
+        means: Annotated[np.ndarray, Shape("(L, 2)")],
+        sigmas: Annotated[np.ndarray, Shape("(L,)")],
+        out: Annotated[np.ndarray, Shape("(L, I)")],
+    ) -> None:
+        """Write the normalized Gaussian posterior of each mean into ``out``.
+
+        The squared distance of cell ``(row, col)`` is ``dx**2[col] +
+        dy**2[row]``, the same two addends a per-cell ``(x, y)`` reduce
+        adds (addition commutes exactly), negated up front (negation is
+        exact).  Each row is shifted by its max and normalized by its own
+        pairwise ``sum`` over the full row; cells below
+        :data:`EXP_UNDERFLOW` are set to the 0.0 that ``exp`` would give
+        them, with ``exp`` only evaluated elsewhere.
+        """
+        nx: int = self._nx  # type: ignore[attr-defined]
+        ny: int = self._ny  # type: ignore[attr-defined]
+        rows = means.shape[0]
+        sigma = np.maximum(sigmas, self.cell_size / 2.0)
+        neg_dx2 = -((self._xs - means[:, 0, None]) ** 2)
+        neg_dy2 = -((self._ys - means[:, 1, None]) ** 2)
+        np.add(
+            neg_dy2[:, :, None], neg_dx2[:, None, :], out=out.reshape(rows, ny, nx)
+        )
+        out /= (2.0 * sigma * sigma)[:, None]
+        out -= out.max(axis=1, keepdims=True)
+        underflow = out < EXP_UNDERFLOW
+        np.copyto(out, 0.0, where=underflow)
+        np.exp(out, out=out)
+        np.copyto(out, 0.0, where=underflow)
+        out /= out.sum(axis=1, keepdims=True)
 
     def histogram_posterior(
         self, points: np.ndarray, weights: np.ndarray | None = None
@@ -171,14 +220,16 @@ class Grid:
         cols = np.clip(((points[:, 0] - self.min_x) // self.cell_size).astype(int), 0, nx - 1)
         rows = np.clip(((points[:, 1] - self.min_y) // self.cell_size).astype(int), 0, ny - 1)
         idx = rows * nx + cols
-        hist = np.bincount(idx, weights=weights, minlength=self.n_cells).astype(float)
+        hist = np.bincount(idx, weights=weights, minlength=self.n_cells).astype(
+            float, copy=False
+        )
         total = hist.sum()
         if total <= 0.0:
             return np.full(self.n_cells, 1.0 / self.n_cells)
         hist /= total
-        floor = 1e-9
-        hist = hist + floor
-        return hist / hist.sum()
+        hist += 1e-9
+        hist /= hist.sum()
+        return hist
 
     def expected_point(self, posterior: np.ndarray) -> Point:
         """Return the posterior-mean location (paper Eq. 4).
@@ -192,5 +243,8 @@ class Grid:
         total = posterior.sum()
         if total <= 0.0:
             raise ValueError("posterior has no probability mass")
-        mean = (self._centers * posterior[:, None]).sum(axis=0) / total
-        return Point(float(mean[0]), float(mean[1]))
+        # Sequential accumulation over cells, the order of an axis-0
+        # reduce of the ``(I, 2)`` weighted centres.
+        sum_x = np.cumsum(self._cx * posterior)[-1]
+        sum_y = np.cumsum(self._cy * posterior)[-1]
+        return Point(float(sum_x / total), float(sum_y / total))

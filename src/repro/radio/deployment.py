@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.geometry import Point
 from repro.radio.fingerprint import Fingerprint, FingerprintDatabase
+from repro.radio.kernels import ShadowingBank
 from repro.radio.propagation import (
     CELL_SENSITIVITY_DBM,
     CELLULAR_MODEL,
@@ -33,7 +34,91 @@ from repro.radio.transmitters import (
     deploy_access_points,
     deploy_cell_towers,
 )
-from repro.world import Place, profile_of
+from repro.world import EnvironmentProfile, Place, profile_of
+
+
+class CompiledTransmitters:
+    """One transmitter list and its propagation model, lowered for scans.
+
+    Holds the transmitters' positions as an ``(M, 2)`` array and their
+    shadowing fields stacked into one :class:`ShadowingBank`, so a scan
+    evaluates every transmitter's shadowing in one call.
+    """
+
+    def __init__(
+        self, transmitters: list[Transmitter], model: PropagationModel
+    ) -> None:
+        self.transmitters = list(transmitters)
+        self.model = model
+        positions = np.array(
+            [[tx.position.x, tx.position.y] for tx in self.transmitters]
+        ).reshape(-1, 2)
+        positions.setflags(write=False)
+        self.positions = positions
+        self.bank = ShadowingBank.stack(
+            model, [tx.seed for tx in self.transmitters]
+        )
+
+    def matches(
+        self, transmitters: list[Transmitter], model: PropagationModel
+    ) -> bool:
+        """True while ``transmitters`` and ``model`` are what was compiled.
+
+        A list compare, which short-cuts on element identity, like
+        :meth:`repro.world.compiled.CompiledFloorPlan.matches`.
+        """
+        return model is self.model and transmitters == self.transmitters
+
+    def audible_rssi_dbm(
+        self,
+        point: Point,
+        walls: list[int],
+        attenuation_db: float,
+        sensitivity_dbm: float,
+    ) -> dict[str, float]:
+        """Return the noise-free RSSI of each transmitter heard at ``point``.
+
+        Keys follow the transmitter list.  Each value is the scalar
+        ``PropagationModel.mean_rssi_dbm`` minus ``attenuation_db``, with
+        the same operands in the same order: distance and path loss stay
+        Python floats per transmitter, and the bank's shadowing equals
+        the per-transmitter field bit for bit.
+        """
+        model = self.model
+        shadowing: list[float] = self.bank.shadowing_db(
+            np.array([[point.x, point.y]])
+        )[0].tolist()
+        readings = {}
+        for tx, n_walls, shadow in zip(self.transmitters, walls, shadowing):
+            rssi = (
+                model.tx_power_dbm
+                - model.path_loss_db(tx.position.distance_to(point), n_walls)
+                - shadow
+                - attenuation_db
+            )
+            if rssi >= sensitivity_dbm:
+                readings[tx.identifier] = rssi
+        return readings
+
+
+def _noisy_scan(
+    means: dict[str, float],
+    noise_db: float,
+    sensitivity_dbm: float,
+    rng: np.random.Generator,
+) -> dict[str, float]:
+    """Add one temporal noise draw per reading; drop those below sensitivity.
+
+    The ``len(means)`` draws come in one call, which yields the same
+    stream as one scalar ``rng.normal`` per reading, in reading order.
+    """
+    noise = rng.normal(0.0, noise_db, size=len(means))
+    values: list[float] = (np.fromiter(means.values(), float) + noise).tolist()
+    return {
+        identifier: value
+        for identifier, value in zip(means, values)
+        if value >= sensitivity_dbm
+    }
 
 
 @dataclass
@@ -58,6 +143,22 @@ class RadioEnvironment:
             constellation=Constellation.default(seed=seed + 7),
         )
 
+    def _compiled(self, kind: str) -> CompiledTransmitters:
+        """Return the ``"wifi"`` or ``"cell"`` transmitters, compiled.
+
+        Recompiled whenever the transmitter list or its model changes.
+        """
+        if kind == "wifi":
+            transmitters, model = self.access_points, self.wifi_model
+        else:
+            transmitters, model = self.cell_towers, self.cell_model
+        key = f"_compiled_{kind}"
+        compiled: CompiledTransmitters | None = self.__dict__.get(key)
+        if compiled is None or not compiled.matches(transmitters, model):
+            compiled = CompiledTransmitters(transmitters, model)
+            self.__dict__[key] = compiled
+        return compiled
+
     # ----- Wi-Fi ---------------------------------------------------------
 
     def wifi_mean_rssi(self, point: Point) -> dict[str, float]:
@@ -67,28 +168,24 @@ class RadioEnvironment:
         of per-wall attenuation, which is what makes deep basements
         Wi-Fi-dead (the paper's basement segment hears no usable AP).
         Every AP's wall count comes from one (APs x walls) pass over the
-        compiled floor plan; the per-AP RSSI math stays scalar.
+        compiled floor plan and every AP's shadowing from one bank call;
+        distance and path loss stay scalar per AP, so each reading is the
+        scalar ``mean_rssi_dbm`` float.
         """
-        attenuation = profile_of(
-            self.place.environment_at(point)
-        ).wifi_attenuation_db
-        sources = np.array(
-            [[ap.position.x, ap.position.y] for ap in self.access_points]
-        ).reshape(-1, 2)
-        wall_counts = self.place.floorplan.compiled().walls_crossed_from(
-            sources, point
+        return self._wifi_mean_rssi(
+            point, profile_of(self.place.environment_at(point))
         )
-        readings = {}
-        for ap, walls in zip(self.access_points, wall_counts):
-            rssi = (
-                self.wifi_model.mean_rssi_dbm(
-                    ap.position, point, walls=walls, tx_seed=ap.seed
-                )
-                - attenuation
-            )
-            if rssi >= WIFI_SENSITIVITY_DBM:
-                readings[ap.identifier] = rssi
-        return readings
+
+    def _wifi_mean_rssi(
+        self, point: Point, profile: EnvironmentProfile
+    ) -> dict[str, float]:
+        aps = self._compiled("wifi")
+        walls = self.place.floorplan.compiled().walls_crossed_from(
+            aps.positions, point
+        )
+        return aps.audible_rssi_dbm(
+            point, walls, profile.wifi_attenuation_db, WIFI_SENSITIVITY_DBM
+        )
 
     def wifi_rssi(self, point: Point, rng: np.random.Generator) -> dict[str, float]:
         """Return one noisy Wi-Fi scan at ``point``.
@@ -98,13 +195,13 @@ class RadioEnvironment:
         pushed below sensitivity by noise drop out of the scan — audible
         AP sets therefore flicker at the coverage edge, as in reality.
         """
-        noise_db = profile_of(self.place.environment_at(point)).wifi_noise_db
-        scan = {}
-        for identifier, mean in self.wifi_mean_rssi(point).items():
-            value = mean + rng.normal(0.0, noise_db)
-            if value >= WIFI_SENSITIVITY_DBM:
-                scan[identifier] = value
-        return scan
+        profile = profile_of(self.place.environment_at(point))
+        return _noisy_scan(
+            self._wifi_mean_rssi(point, profile),
+            profile.wifi_noise_db,
+            WIFI_SENSITIVITY_DBM,
+            rng,
+        )
 
     # ----- Cellular ------------------------------------------------------
 
@@ -116,28 +213,21 @@ class RadioEnvironment:
         towers, reproducing the paper's mall observation.
         """
         profile = profile_of(self.place.environment_at(point))
-        readings = {}
-        for tower in self.cell_towers:
-            rssi = (
-                self.cell_model.mean_rssi_dbm(
-                    tower.position, point, walls=0, tx_seed=tower.seed
-                )
-                - profile.cell_attenuation_db
-            )
-            if rssi >= CELL_SENSITIVITY_DBM:
-                readings[tower.identifier] = rssi
+        towers = self._compiled("cell")
+        readings = towers.audible_rssi_dbm(
+            point,
+            [0] * len(towers.transmitters),
+            profile.cell_attenuation_db,
+            CELL_SENSITIVITY_DBM,
+        )
         strongest = sorted(readings.items(), key=lambda kv: kv[1], reverse=True)
         return dict(strongest[: profile.audible_towers_cap])
 
     def cell_rssi(self, point: Point, rng: np.random.Generator) -> dict[str, float]:
         """Return one noisy cellular scan at ``point``."""
-        noise_db = 3.5
-        scan = {}
-        for identifier, mean in self.cell_mean_rssi(point).items():
-            value = mean + rng.normal(0.0, noise_db)
-            if value >= CELL_SENSITIVITY_DBM:
-                scan[identifier] = value
-        return scan
+        return _noisy_scan(
+            self.cell_mean_rssi(point), 3.5, CELL_SENSITIVITY_DBM, rng
+        )
 
     # ----- GPS -----------------------------------------------------------
 

@@ -432,12 +432,14 @@ class CompiledFingerprintDatabase:
         return out
 
     def distances_batch(
-        self, scans: Sequence[dict[str, float]]
+        self,
+        scans: Sequence[dict[str, float]],
+        rows: np.ndarray | None = None,
     ) -> Annotated[np.ndarray, Shape("(K, E)")]:
-        """Return the RSSI distances of ``K`` scans to every entry at once.
+        """Return the RSSI distances of ``K`` scans to every (or selected) entry.
 
-        Row ``k`` is **bit-identical** to ``distances(scans[k])``: scans
-        are lowered to the same dense vectors plus out-of-vocabulary
+        Row ``k`` is **bit-identical** to ``distances(scans[k], rows)``:
+        scans are lowered to the same dense vectors plus out-of-vocabulary
         offsets, and the squared-difference reduction runs over the same
         transmitter axis — stacking scans only adds a leading dimension.
         This is the population core's per-scheme matcher: one matrix
@@ -456,17 +458,19 @@ class CompiledFingerprintDatabase:
                 else:
                     vectors[k, j] = value
             extras[k] = extra
-        out = np.empty((len(scans), len(self.entries)))
+        matrix = self.matrix if rows is None else self.matrix[rows]
+        out = np.empty((len(scans), matrix.shape[0]))
         # Scan-chunked: rows are independent, and chunking bounds the
         # (chunk, E, F) difference tensor at city-scale populations.
         for lo in range(0, len(scans), 128):
             hi = lo + 128
-            difference = self.matrix[None, :, :] - vectors[lo:hi, None, :]
+            difference = matrix[None, :, :] - vectors[lo:hi, None, :]
             squared = (difference * difference).sum(axis=2) + extras[lo:hi, None]
             out[lo:hi] = np.sqrt(squared)
+        n_keys = self._n_keys if rows is None else self._n_keys[rows]
         for k, scan in enumerate(scans):
             if not scan:
-                out[k] = np.where(self._n_keys == 0, np.inf, out[k])
+                out[k] = np.where(n_keys == 0, np.inf, out[k])
         return out
 
     def _top(self, rssi_dbm: dict[str, float], k: int) -> tuple[np.ndarray, np.ndarray]:
