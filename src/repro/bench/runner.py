@@ -391,23 +391,23 @@ _POPULATION_STEPS = 8
 def _population_step_bench(
     setup: Any, models: Any, seed: int, repeats: int
 ) -> dict[str, Timing]:
-    """Per-walker-step cost: scalar lane stepping vs ``step_batch``.
+    """Per-walker-step cost: each lane stepped alone vs ``step_batch``.
 
     Both variants run the *shipped* code paths on identical lanes:
-    ``scalar`` steps each framework with ``use_population=False`` (the
-    pre-redesign serial pipeline), ``kernel`` advances all lanes through
-    one :class:`~repro.core.population.PopulationFramework`.  Timings
-    are normalized to milliseconds per walker-step.  The ratio is
+    ``scalar`` steps each framework alone with ``step()`` (a population
+    of size 1 per walker), ``kernel`` advances all lanes through one
+    :class:`~repro.core.population.PopulationFramework`.  Timings are
+    normalized to milliseconds per walker-step.  The ratio is
     deliberately honest — byte-identity forces the batched path to
     retire each lane through the same per-lane control flow, so the
-    speedup here is bounded by the pre-pass share of a step (measured
-    ~1.6x at 32 lanes), while ``posterior_grid`` / ``survey_match``
-    isolate the amortized pre-pass kernels themselves.
+    speedup here is bounded by the pre-pass share of a step, while
+    ``posterior_grid`` / ``survey_match`` isolate the amortized
+    pre-pass kernels themselves.
     """
     from repro.core.population import PopulationFramework
     from repro.eval.setup import build_framework
 
-    def build_lanes(use_population: bool):
+    def build_lanes():
         lanes = []
         for lane_idx in range(_POPULATION_LANES):
             walk, snapshots = setup.record_walk(
@@ -419,11 +419,10 @@ def _population_step_bench(
             framework = build_framework(
                 setup, models, walk.moments[0].position, scheme_seed=seed + lane_idx
             )
-            framework.use_population = use_population
             lanes.append((framework, snapshots[:_POPULATION_STEPS]))
         return lanes
 
-    scalar_lanes = build_lanes(False)
+    scalar_lanes = build_lanes()
     n_steps = min(len(snaps) for _, snaps in scalar_lanes)
 
     def scalar() -> None:
@@ -433,7 +432,7 @@ def _population_step_bench(
             for framework, snapshots in scalar_lanes:
                 framework.step(snapshots[step])
 
-    batched_lanes = build_lanes(False)
+    batched_lanes = build_lanes()
     population = PopulationFramework([fw for fw, _ in batched_lanes])
 
     def kernel() -> None:

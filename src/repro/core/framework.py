@@ -38,11 +38,18 @@ diversity claim must survive:
 
 Every failure, quarantine entry, and skipped step is counted in the
 attached metrics registry and annotated on the tracing spans.
+
+:meth:`UniLocFramework.step` is a population of size 1
+(:mod:`repro.core.population`): a batched pre-pass runs the paper's own
+schemes and hands the lane body one :class:`PreparedResult` per scheme
+it ran, outcome and posterior row; the guards treat a prepared
+exception exactly like one raised by ``estimate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -158,6 +165,23 @@ class StepDecision:
 
 
 @dataclass
+class PreparedResult:
+    """One scheme's population pre-pass result for one lane and step.
+
+    The pre-pass hands each lane one of these per scheme it ran (see
+    :mod:`repro.core.population`), and the lane body reads it instead
+    of calling the scheme: ``error`` is the exception the scheme's work
+    raised, otherwise ``output`` is its output (None = unavailable).
+    ``posterior`` is the output's BMA grid row when the pre-pass
+    rasterized it.
+    """
+
+    output: SchemeOutput | None = None
+    error: Exception | None = None
+    posterior: np.ndarray | None = None
+
+
+@dataclass
 class UniLocFramework:
     """The unified localization framework over N registered schemes.
 
@@ -199,11 +223,6 @@ class UniLocFramework:
             but wildly wrong coordinate (a garbage scheme output) is as
             poisonous as a NaN.  The default is far beyond any honest
             scheme's worst-case error; None disables the gate.
-        use_population: route :meth:`step` through a population of size 1
-            (:class:`repro.core.population.PopulationFramework`), which
-            primes the batched kernels and memoized geometry features.
-            Results are byte-identical either way; set False for the
-            pure-legacy scalar path (reference semantics, benchmarking).
     """
 
     place: Place
@@ -222,7 +241,6 @@ class UniLocFramework:
     quarantine_max_steps: int = 256
     confidence_decay_steps: int = 5
     implausible_margin_m: float | None = 500.0
-    use_population: bool = True
 
     def __post_init__(self) -> None:
         if not self.bundles:
@@ -242,11 +260,8 @@ class UniLocFramework:
             name: SchemeHealth() for name in self.bundles
         }
         self._bounds = self.place.boundary.bounding_box()
-        # Lazily-built population-of-1 backing :meth:`step`, plus the
-        # per-step handoff slot for pre-rasterized BMA posteriors (scheme
-        # name -> (output, posterior row), identity-checked at use).
+        # Lazily-built population of size 1 that runs :meth:`step`.
         self._population = None
-        self._population_posteriors: dict[str, tuple[SchemeOutput, np.ndarray]] = {}
 
     @property
     def grid(self) -> Grid:
@@ -266,10 +281,7 @@ class UniLocFramework:
         self._hmm.reset()
         self._step_index = 0
         self._health = {name: SchemeHealth() for name in self.bundles}
-        self._population_posteriors.clear()
         for bundle in self.bundles.values():
-            if getattr(bundle.scheme, "_population_primed", None) is not None:
-                del bundle.scheme._population_primed
             bundle.scheme.reset()
 
     def add_scheme(self, name: str, bundle: SchemeBundle) -> None:
@@ -288,33 +300,34 @@ class UniLocFramework:
     def step(self, snapshot: SensorSnapshot) -> StepDecision:
         """Run one full UniLoc location estimation.
 
-        By default the step is routed through a lazily-built population
-        of size 1, so the scalar API transparently benefits from the
-        batched kernels and feature memoization while producing
-        byte-identical decisions; ``use_population=False`` runs the
-        historical scalar path directly.
+        The step runs as a population of size 1
+        (:class:`repro.core.population.PopulationFramework`): its batched
+        pre-pass prepares the paper's own schemes, then
+        :meth:`_step_scalar` runs the guards, confidences, BMA and HMM.
         """
-        if self.use_population:
-            if self._population is None:
-                from repro.core.population import PopulationFramework
+        if self._population is None:
+            from repro.core.population import PopulationFramework
 
-                self._population = PopulationFramework([self])
-            return self._population.step_batch([snapshot])[0]
-        return self._step_scalar(snapshot)
+            self._population = PopulationFramework([self])
+        return self._population.step_batch([snapshot])[0]
 
-    def _step_scalar(self, snapshot: SensorSnapshot) -> StepDecision:
-        """Run one step through the scalar pipeline (population lane body)."""
+    def _step_scalar(
+        self, snapshot: SensorSnapshot, prepared: Mapping[str, PreparedResult]
+    ) -> StepDecision:
+        """Run one step's lane body over the pre-pass results ``prepared``."""
         with self.tracer.span("uniloc.step") as step_span:
-            decision = self._step(snapshot)
+            decision = self._step(snapshot, prepared)
         self._record_step_metrics(decision, step_span)
         self._step_index += 1
         return decision
 
-    def _step(self, snapshot: SensorSnapshot) -> StepDecision:
+    def _step(
+        self, snapshot: SensorSnapshot, prepared: Mapping[str, PreparedResult]
+    ) -> StepDecision:
         with self.tracer.span("uniloc.iodetect"):
             indoor = self.iodetector.is_indoor(snapshot)
         outputs, predicted_errors, latencies, failures, quarantined = (
-            self._run_schemes(snapshot, indoor)
+            self._run_schemes(snapshot, indoor, prepared)
         )
 
         available = {
@@ -354,7 +367,9 @@ class UniLocFramework:
         selected = max(confidences, key=confidences.get)
         uniloc1_position = outputs[selected].position
         with self.tracer.span("uniloc.bma"):
-            uniloc2_position = self._bma_estimate(outputs, weights, confidences)
+            uniloc2_position = self._bma_estimate(
+                outputs, weights, confidences, prepared
+            )
         with self.tracer.span("uniloc.hmm_observe"):
             self._hmm.observe(uniloc2_position)
         return StepDecision(
@@ -411,7 +426,10 @@ class UniLocFramework:
     # ------------------------------------------------------------------
 
     def _run_schemes(
-        self, snapshot: SensorSnapshot, indoor: bool
+        self,
+        snapshot: SensorSnapshot,
+        indoor: bool,
+        prepared: Mapping[str, PreparedResult],
     ) -> tuple[
         dict[str, SchemeOutput | None],
         dict[str, float],
@@ -434,7 +452,13 @@ class UniLocFramework:
             if name == self.gps_scheme and self.gps_duty_cycling:
                 continue  # decided after the other schemes' errors are known
             outputs[name] = self._run_scheme(
-                name, bundle.scheme, snapshot, latencies, failures, skipped
+                name,
+                bundle.scheme,
+                snapshot,
+                latencies,
+                failures,
+                skipped,
+                prepared.get(name),
             )
         predicted_location = self._predicted_location(outputs)
         with self.tracer.span("uniloc.predict_errors"):
@@ -461,6 +485,7 @@ class UniLocFramework:
         latencies: dict[str, float],
         failures: dict[str, str],
         skipped: list[str],
+        prepared: PreparedResult | None,
     ) -> SchemeOutput | None:
         """Run one scheme through quarantine, guarding, and bookkeeping."""
         health = self._health[name]
@@ -479,7 +504,9 @@ class UniLocFramework:
             self.telemetry.emit(
                 "quarantine", "probe", scheme=name, step=self._step_index
             )
-        output, failure = self._guarded_estimate(name, scheme, snapshot, latencies)
+        output, failure = self._guarded_estimate(
+            name, scheme, snapshot, latencies, prepared
+        )
         if failure is not None:
             failures[name] = failure
             self._note_failure(name, health, failure)
@@ -498,6 +525,7 @@ class UniLocFramework:
         scheme: Scheme,
         snapshot: SensorSnapshot,
         latencies: dict[str, float],
+        prepared: PreparedResult | None,
     ) -> tuple[SchemeOutput | None, str | None]:
         """Run one scheme defensively; returns ``(output, failure_kind)``.
 
@@ -506,45 +534,40 @@ class UniLocFramework:
         timeout budget, and rejects non-finite outputs.  Latency is
         recorded when tracing is on, exactly as before.
 
-        A population pre-pass may have already computed this scheme's
-        output for exactly this snapshot (``_population_primed``); the
-        prepared output is consumed through the same finite/plausible
-        gates.  The population never primes lanes that trace or enforce a
-        timeout budget, so those paths are untouched.
+        When the population pre-pass already ran this scheme for this
+        step (``prepared``), its exception is this step's ``exception``
+        failure and its output goes through the same finite/plausible
+        gates.  The pre-pass prepares nothing for lanes that trace or
+        enforce a timeout budget, so those always call ``estimate`` here.
         """
-        primed = getattr(scheme, "_population_primed", None)
-        if primed is not None:
-            del scheme._population_primed
-            primed_snapshot, output = primed
-            if primed_snapshot is snapshot:
-                if output is not None and not output.is_finite():
-                    return None, "nonfinite"
-                if output is not None and not self._plausible(output.position):
-                    return None, "implausible"
-                return output, None
-        budget = self.scheme_timeout_ms
-        if self.tracer.enabled:
-            with self.tracer.span("scheme.estimate", scheme=name) as span:
+        if prepared is not None:
+            if prepared.error is not None:
+                return None, "exception"
+            output = prepared.output
+        else:
+            budget = self.scheme_timeout_ms
+            if self.tracer.enabled:
+                with self.tracer.span("scheme.estimate", scheme=name) as span:
+                    try:
+                        output = scheme.estimate(snapshot)
+                    except Exception as exc:  # noqa: BLE001 — black-box scheme
+                        span.annotate(failed="exception", error=type(exc).__name__)
+                        latencies[name] = span.duration_ms
+                        return None, "exception"
+                latencies[name] = span.duration_ms
+                elapsed_ms = span.duration_ms
+                span.annotate(available=output is not None)
+            else:
+                start = monotonic_s() if budget is not None else 0.0
                 try:
                     output = scheme.estimate(snapshot)
-                except Exception as exc:  # noqa: BLE001 — black-box scheme
-                    span.annotate(failed="exception", error=type(exc).__name__)
-                    latencies[name] = span.duration_ms
+                except Exception:  # noqa: BLE001 — black-box scheme
                     return None, "exception"
-            latencies[name] = span.duration_ms
-            elapsed_ms = span.duration_ms
-            span.annotate(available=output is not None)
-        else:
-            start = monotonic_s() if budget is not None else 0.0
-            try:
-                output = scheme.estimate(snapshot)
-            except Exception:  # noqa: BLE001 — black-box scheme
-                return None, "exception"
-            elapsed_ms = (
-                (monotonic_s() - start) * 1e3 if budget is not None else 0.0
-            )
-        if budget is not None and elapsed_ms > budget:
-            return None, "timeout"
+                elapsed_ms = (
+                    (monotonic_s() - start) * 1e3 if budget is not None else 0.0
+                )
+            if budget is not None and elapsed_ms > budget:
+                return None, "timeout"
         if output is not None and not output.is_finite():
             return None, "nonfinite"
         if output is not None and not self._plausible(output.position):
@@ -631,6 +654,7 @@ class UniLocFramework:
             latencies,
             failures,
             skipped,
+            None,  # the population never prepares the duty-cycled GPS
         )
 
     def _gps_ran(self, outputs: dict[str, SchemeOutput | None]) -> bool:
@@ -689,23 +713,23 @@ class UniLocFramework:
         outputs: dict[str, SchemeOutput | None],
         weights: dict[str, float],
         confidences: dict[str, float],
+        prepared: Mapping[str, PreparedResult],
     ) -> Point:
         """Mix scheme posteriors by weight and read out Eq. 4.
 
-        Point-scheme posteriors may arrive pre-rasterized by the
-        population pre-pass (one batched Gaussian rasterization across
-        all lanes, bit-identical per row); the handoff is identity-checked
-        against the step's actual output so a stale row can never be
-        mixed.
+        A scheme whose output came from the population pre-pass may
+        carry its posterior row, rasterized there in one batched
+        Gaussian pass across lanes (bit-identical per row); the row is
+        mixed in place of rasterizing the output again.
         """
         mixture = np.zeros(self._grid.n_cells)
         for name, weight in weights.items():
             output = outputs.get(name)
             if output is None or weight <= 0.0:
                 continue
-            prepared = self._population_posteriors.get(name)
-            if prepared is not None and prepared[0] is output:
-                mixture += weight * prepared[1]
+            entry = prepared.get(name)
+            if entry is not None and entry.posterior is not None:
+                mixture += weight * entry.posterior
             else:
                 mixture += weight * output.grid_posterior(self._grid)
         if mixture.sum() <= 0.0:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import traceback as _traceback
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -451,51 +450,9 @@ def _job_failure(
     )
 
 
-def _positional_config_shim(
-    name: str, deprecated: tuple, keywords: tuple[str, ...], values: dict[str, Any]
-) -> None:
-    """Map deprecated positional config args onto their keywords, warning.
-
-    The walk entry points (:func:`run_walk`, :func:`iter_walks`,
-    :func:`run_walks`, :func:`run_population`) share one keyword-only
-    configuration surface; positional use keeps working for one
-    deprecation cycle through this shim.
-
-    Raises:
-        TypeError: when a positional argument duplicates an explicit
-            keyword or overflows the historical signature.
-    """
-    if not deprecated:
-        return
-    warnings.warn(
-        f"positional configuration for {name}() is deprecated; pass "
-        f"{', '.join(k + '=' for k in keywords[:len(deprecated)])} as keywords",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if len(deprecated) > len(keywords):
-        raise TypeError(f"{name}() takes at most {len(keywords)} config arguments")
-    for keyword, value in zip(keywords, deprecated):
-        if values[keyword] is not _DEFAULTS[keyword]:
-            raise TypeError(f"{name}() got multiple values for {keyword!r}")
-        values[keyword] = value
-
-
-#: Defaults of the shared keyword-only config surface (used by the shim
-#: to detect positional/keyword collisions).
-_DEFAULTS: dict[str, Any] = {
-    "workers": 1,
-    "cache": None,
-    "metrics": None,
-    "tracer": NOOP_TRACER,
-    "telemetry": None,
-    "on_failure": "raise",
-}
-
-
 def iter_walks(
     jobs: list[WalkJob],
-    *deprecated: Any,
+    *,
     workers: int = 1,
     cache: ArtifactCache | None = None,
     metrics: MetricsRegistry | None = None,
@@ -527,31 +484,6 @@ def iter_walks(
             :func:`~repro.obs.telemetry.telemetry_session` (None = no
             streaming, historical snapshot path).
     """
-    values: dict[str, Any] = {
-        "workers": workers,
-        "cache": cache,
-        "metrics": metrics,
-        "tracer": tracer,
-        "telemetry": telemetry,
-    }
-    _positional_config_shim(
-        "iter_walks",
-        deprecated,
-        ("workers", "cache", "metrics", "tracer", "telemetry"),
-        values,
-    )
-    return _iter_walks(jobs, **values)
-
-
-def _iter_walks(
-    jobs: list[WalkJob],
-    workers: int,
-    cache: ArtifactCache | None,
-    metrics: MetricsRegistry | None,
-    tracer: TracerLike,
-    telemetry: TelemetrySession | None,
-) -> Iterator[tuple[int, Any]]:
-    """Generator behind :func:`iter_walks` (shim applied eagerly there)."""
     cache = cache if cache is not None else default_cache()
     session = telemetry if telemetry is not None else current_session()
     if workers <= 1 or len(jobs) <= 1:
@@ -689,7 +621,7 @@ def _iter_walks(
 
 def run_walks(
     jobs: list[WalkJob],
-    *deprecated: Any,
+    *,
     workers: int = 1,
     cache: ArtifactCache | None = None,
     metrics: MetricsRegistry | None = None,
@@ -720,28 +652,6 @@ def run_walks(
         FleetError: under ``on_failure="raise"`` when any job failed.
         ValueError: for an unknown ``on_failure`` mode.
     """
-    values: dict[str, Any] = {
-        "workers": workers,
-        "cache": cache,
-        "metrics": metrics,
-        "tracer": tracer,
-        "on_failure": on_failure,
-        "telemetry": telemetry,
-    }
-    _positional_config_shim(
-        "run_walks",
-        deprecated,
-        ("workers", "cache", "metrics", "tracer", "on_failure", "telemetry"),
-        values,
-    )
-    workers, cache, metrics, tracer, on_failure, telemetry = (
-        values["workers"],
-        values["cache"],
-        values["metrics"],
-        values["tracer"],
-        values["on_failure"],
-        values["telemetry"],
-    )
     if on_failure not in ("raise", "return"):
         raise ValueError(f"unknown on_failure mode {on_failure!r}")
     results: list[Any] = [None] * len(jobs)

@@ -70,7 +70,7 @@ N_SHADOWING_WAVES = 6
 _WAVE_NORM = math.sqrt(N_SHADOWING_WAVES / 2.0)
 
 # Bound on memoized spatial-density entries before the cache resets;
-# population queries are grid-snapped so real fleets stay far below this.
+# queries are grid-snapped so real fleets stay far below this.
 _DENSITY_MEMO_MAX = 100_000
 
 
@@ -387,7 +387,7 @@ class CompiledFingerprintDatabase:
         positions_xy.setflags(write=False)
         self._positions = positions_xy
         self._density_buckets: dict[float, _DensityBuckets] = {}
-        self._density_memo: dict[tuple[float, float, float], float] | None = None
+        self._density_memo: dict[tuple[float, float, float], float] = {}
 
     @classmethod
     def from_database(
@@ -523,20 +523,6 @@ class CompiledFingerprintDatabase:
             return 0.0
         return float(np.std(finite))
 
-    def enable_density_memo(self) -> None:
-        """Memoize :meth:`spatial_density_around` by exact query point.
-
-        The population core's feature pre-pass: densities are pure
-        functions of ``(point, radius)``, and a population of walkers on
-        shared paths queries the same HMM-predicted grid centers over and
-        over — one lane pays the scalar cost, every other lane reuses the
-        exact float (bit-identity is free because the memo stores the
-        scalar function's own output).  Off by default so standalone
-        callers keep the historical zero-state behavior.
-        """
-        if self._density_memo is None:
-            self._density_memo = {}
-
     def spatial_density_around(self, point: Point, radius_m: float = 15.0) -> float:
         """Return the beta_1 feature via the KD-grid (no O(n^2) scan).
 
@@ -544,18 +530,21 @@ class CompiledFingerprintDatabase:
         among entries within ``radius_m`` of the query, falling back to
         the (floored) distance to the closest entry when fewer than two
         are in range.
+
+        Values are memoized by exact ``(point, radius)``: walkers query
+        the same HMM-predicted grid centers over and over, across steps
+        and across lanes sharing the survey, and the memo returns the
+        function's own float, so a hit is bit-identical to a recompute.
         """
         memo = self._density_memo
-        if memo is not None:
-            key = (point.x, point.y, radius_m)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+        key = (point.x, point.y, radius_m)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
         value = self._spatial_density(point, radius_m)
-        if memo is not None:
-            if len(memo) >= _DENSITY_MEMO_MAX:
-                memo.clear()
-            memo[key] = value
+        if len(memo) >= _DENSITY_MEMO_MAX:
+            memo.clear()
+        memo[key] = value
         return value
 
     def _spatial_density(self, point: Point, radius_m: float) -> float:

@@ -23,7 +23,6 @@ samples per fingerprint.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -120,26 +119,6 @@ class FingerprintScheme(LocalizationScheme):
         if not scan:
             return None
         return self._estimate_from(scan)
-
-    def estimate_batch(
-        self, snapshots: Sequence[SensorSnapshot]
-    ) -> list[SchemeOutput | None]:
-        """Batch-match: one dense distance pass for all non-empty scans.
-
-        Score rows from the batched kernel are bit-identical to scalar
-        distance passes, and :meth:`_estimate_from` is then applied in
-        snapshot order so the temporal-continuity anchor advances exactly
-        as it would under serial :meth:`estimate` calls.
-        """
-        scans = [self._scan(snapshot) for snapshot in snapshots]
-        live = [i for i, scan in enumerate(scans) if scan]
-        outputs: list[SchemeOutput | None] = [None] * len(scans)
-        if not live:
-            return outputs
-        score_rows = self._index.distances_batch([scans[i] for i in live])
-        for row, i in enumerate(live):
-            outputs[i] = self._estimate_from(scans[i], score_rows[row])
-        return outputs
 
     def _estimate_from(
         self, scan: dict[str, float], scores: np.ndarray | None = None

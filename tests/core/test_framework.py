@@ -125,7 +125,7 @@ def test_bma_fallback_prefers_highest_confidence(framework):
     high = SchemeOutput(position=Point(9.0, 9.0), spread=2.0)
     outputs = {"low": low, "high": high, "off": None}
     position = framework._bma_estimate(
-        outputs, {"low": 0.0, "high": 0.0}, {"low": 0.2, "high": 0.9}
+        outputs, {"low": 0.0, "high": 0.0}, {"low": 0.2, "high": 0.9}, {}
     )
     assert position == high.position
 

@@ -1,16 +1,17 @@
 """Pin seeded WalkResult pickles as SHA-256 golden hashes.
 
-The population core (``repro.core.population``) promises that the scalar
-``UniLocFramework`` keeps producing **byte-identical** ``WalkResult``
-pickles after it became a thin front over a population of size 1.  That
-promise is only checkable against a fixed point: this tool runs the
-golden job matrix (office + open-space, with and without a fault plan,
-plus one campus window that crosses five environment legs)
-and records each result's pickle hash in ``tests/data/walk_goldens.json``.
+Every walk steps through the population core (``repro.core.population``):
+``UniLocFramework.step`` is a population of size 1.  Refactors and
+optimizations of that step path promise **byte-identical**
+``WalkResult`` pickles, which is only checkable against a fixed point:
+this tool runs the golden job matrix (office + open-space, with and
+without a fault plan, plus one campus window that crosses five
+environment legs) and records each result's pickle hash in
+``tests/data/walk_goldens.json``.
 
 ``tests/eval/test_population_equivalence.py`` replays the same jobs and
-compares hashes — any drift in the scalar pipeline (scheme math, RNG
-draw order, framework control flow, result schema) fails the suite.
+compares hashes — any drift in the step path (scheme math, RNG draw
+order, framework control flow, result schema) fails the suite.
 
 Regenerate only when a change is *supposed* to alter walk results:
 
